@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race race-hammer mird-smoke dist-smoke bench-smoke fuzz-smoke bench bench-json bench-topk bench-dyn bench-shard bench-dist bench-check ci
+.PHONY: all vet build test race race-hammer mird-smoke dist-smoke bench-smoke fuzz-smoke perfbench-test bench bench-json bench-topk bench-dyn bench-shard bench-dist bench-check ci
 
 all: ci
 
@@ -50,15 +50,24 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkKernels' -benchtime 1x -benchmem ./internal/kern
 
 # Differential fuzzing of the numeric kernels against their verbatim
-# scalar references (10s per fuzzer; the committed corpora under
-# testdata/fuzz seed the tricky float shapes — signed zeros, Inf, NaN,
-# subnormals). `go test -fuzz` accepts one fuzz target per invocation, so
-# each fuzzer gets its own anchored run.
+# scalar references, and of the grid-filtered index peel and Skyband
+# against the historical plain scan (10s per fuzzer; the committed corpora
+# under testdata/fuzz seed the tricky float shapes — signed zeros, Inf,
+# NaN, subnormals — and every peel row style). `go test -fuzz` accepts
+# one fuzz target per invocation, so each fuzzer gets its own anchored
+# run.
 fuzz-smoke:
 	$(GO) test -fuzz '^FuzzKernelDotRows$$' -fuzztime 10s ./internal/kern
 	$(GO) test -fuzz '^FuzzKernelRowMaxMin$$' -fuzztime 10s ./internal/kern
 	$(GO) test -fuzz '^FuzzKernelEliminate$$' -fuzztime 10s ./internal/kern
 	$(GO) test -fuzz '^FuzzKernelPivotParity$$' -fuzztime 10s ./internal/lp
+	$(GO) test -run '^$$' -fuzz '^FuzzIndexPeel$$' -fuzztime 10s ./internal/topk
+
+# Unit tests of the end-to-end benchmark's measuring code (tail rule,
+# span self time, event matching). perfbench is its own Go module, so the
+# repository's `go test ./...` does not reach it.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 # Full in-repo Go benchmarks with allocation reporting (the numbers quoted
 # in EXPERIMENTS.md).
@@ -135,4 +144,4 @@ bench-check: bench-shard bench-dist
 	$(GO) run ./cmd/mirbench -json-topk BENCH_TOPK.ci.json -baseline-topk BENCH_TOPK.json
 	$(GO) run ./cmd/mirbench -json-dyn BENCH_DYN.ci.json -baseline-dyn BENCH_DYN.json
 
-ci: vet build race race-hammer mird-smoke dist-smoke bench-smoke fuzz-smoke
+ci: vet build race race-hammer mird-smoke dist-smoke bench-smoke fuzz-smoke perfbench-test

@@ -358,7 +358,7 @@ func (w *aaWorker) verify(c *celltree.Cell) bool {
 		if c.InCount >= r.m {
 			// Every point of the cell covers >= m users: its cheapest
 			// point is a candidate optimum.
-			if pt, cost, err := r.costFn.MinOverCell(c.Polytope(), r.base); err == nil && cost < r.bestCost {
+			if pt, cost, err := r.inst.minCostInCell(c.Polytope(), r.costFn, r.base); err == nil && cost < r.bestCost {
 				r.bestCost = cost
 				r.bestPoint = pt
 			}

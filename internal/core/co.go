@@ -38,7 +38,7 @@ func SolveCO(inst *Instance, m int, cost Cost, opts Options) (*COResult, error) 
 	if err != nil {
 		return nil, err
 	}
-	point, c, err := minCostOverRegion(region, cost, make(geom.Vector, inst.Dim))
+	point, c, err := minCostOverRegion(inst, region, cost, make(geom.Vector, inst.Dim))
 	if err != nil {
 		return nil, err
 	}
@@ -70,7 +70,7 @@ func SolveThresholdedIS(products []geom.Vector, users []topk.UserPref, pIdx int,
 	if err != nil {
 		return nil, err
 	}
-	point, c, err := minCostOverRegion(region, cost, p)
+	point, c, err := minCostOverRegion(sub, region, cost, p)
 	if err != nil {
 		return nil, err
 	}
@@ -119,7 +119,7 @@ func SolveCOBestFirst(inst *Instance, m int, cost Cost, opts Options) (*COResult
 
 // minCostOverRegion minimizes cost.Eval(x - base) over the region's
 // cells with lower-bound ordering and incumbent pruning.
-func minCostOverRegion(region *Region, cost Cost, base geom.Vector) (geom.Vector, float64, error) {
+func minCostOverRegion(inst *Instance, region *Region, cost Cost, base geom.Vector) (geom.Vector, float64, error) {
 	if region.IsEmpty() {
 		return nil, 0, ErrNoSolution
 	}
@@ -136,7 +136,7 @@ func minCostOverRegion(region *Region, cost Cost, base geom.Vector) (geom.Vector
 		if best != nil && lbs[i] >= bestCost {
 			break // remaining cells cannot beat the incumbent
 		}
-		x, c, err := cost.MinOverCell(region.Cells[i], base)
+		x, c, err := inst.minCostInCell(region.Cells[i], cost, base)
 		if err != nil {
 			continue // numerically empty sliver
 		}
@@ -148,6 +148,48 @@ func minCostOverRegion(region *Region, cost Cost, base geom.Vector) (geom.Vector
 		return nil, 0, ErrNoSolution
 	}
 	return best, bestCost, nil
+}
+
+// minCostInCell returns the point of a reported cell minimizing
+// cost.Eval(x - base) that also lies in every user halfspace covering the
+// cell, each within geom.Eps — the tolerance CountCovering counts with.
+//
+// A user covers a cell when no point of the cell lies ClassifyTol or more
+// below the user's boundary (geom.Polytope.Classify), so the cell's
+// cheapest point, which sits on the cell's boundary, can fall up to
+// ClassifyTol short of a covering user's halfspace and not count as
+// covered. Each such near miss is re-checked with Classify against the
+// cell; the covering ones join the cell's rows and the minimization
+// reruns, until no covering user is missed. The region itself is not
+// touched. In the common case — no near miss — this is exactly
+// cost.MinOverCell.
+func (inst *Instance) minCostInCell(poly *geom.Polytope, cost Cost, base geom.Vector) (geom.Vector, float64, error) {
+	x, c, err := cost.MinOverCell(poly, base)
+	var tight *geom.Polytope
+	var added map[int]bool
+	for err == nil {
+		grew := false
+		for u, h := range inst.HS {
+			v := h.Eval(x)
+			if v >= -geom.Eps || v < -2*geom.ClassifyTol || added[u] {
+				continue
+			}
+			if poly.Classify(h) != geom.Covers {
+				continue
+			}
+			if tight == nil {
+				tight, added = poly.Clone(), map[int]bool{}
+			}
+			tight.Append(h)
+			added[u] = true
+			grew = true
+		}
+		if !grew {
+			return x, c, nil
+		}
+		x, c, err = cost.MinOverCell(tight, base)
+	}
+	return nil, 0, err
 }
 
 // AAWithBox runs AA over a restricted product-space box instead of

@@ -225,7 +225,9 @@ func (ix *Index) row(id int) geom.Vector {
 // bound structure. The peel scans candidates in (attribute-sum
 // descending, id ascending) order — the same order Skyband uses — so a
 // candidate's dominators always precede it and the per-round skyline
-// falls out of a sort-filter pass.
+// falls out of a sort-filter pass; the round's members sit in a
+// domFilter, which answers "does any member dominate p" without checking
+// every member.
 func (ix *Index) build() {
 	d := ix.dim
 	remaining := make([]int, 0, ix.nAlive)
@@ -246,9 +248,10 @@ func (ix *Index) build() {
 	})
 
 	ix.layers = ix.layers[:0]
+	// The grid spans dead rows too: a wider range only prunes less.
+	members := newDomFilter(d, len(ix.alive), ix.row)
 	next := make([]int, 0, len(remaining))
 	var layerIDs, band []int
-	band = band[:0]
 	for len(remaining) > 0 {
 		if len(ix.layers) == ix.maxLayers-1 {
 			// Peel cap reached: everything left joins the tail layer.
@@ -257,26 +260,14 @@ func (ix *Index) build() {
 			break
 		}
 		layerIDs, next = layerIDs[:0], next[:0]
+		members.reset()
 		for _, id := range remaining {
 			p := ix.row(id)
-			pSum := sums[id]
-			dominated := false
-			// Members were appended in descending-sum order; a dominator q
-			// satisfies q >= p - Eps componentwise, hence
-			// sum(q) >= sum(p) - d*Eps, so the scan can stop early.
-			for _, j := range layerIDs {
-				if sums[j] < pSum-float64(d)*geom.Eps {
-					break
-				}
-				if ix.row(j).Dominates(p) {
-					dominated = true
-					break
-				}
-			}
-			if dominated {
+			if members.dominators(p, sums[id], 1) > 0 {
 				next = append(next, id)
 			} else {
 				layerIDs = append(layerIDs, id)
+				members.add(p, sums[id])
 			}
 		}
 		// Bands: close the layer only once it is thick enough.
@@ -384,7 +375,7 @@ func (ly *indexLayer) recomputeBounds(d int, scalar bool) {
 	// doubles as the contiguous bound matrices the batched queries score
 	// (blockFlat, then superFlat).
 	slab := make([]float64, (nb+ns)*d)
-	ly.blockFlat = slab[:nb*d:nb*d]
+	ly.blockFlat = slab[: nb*d : nb*d]
 	ly.superFlat = slab[nb*d:]
 	ly.blockMax = ly.blockMax[:0]
 	for b := 0; b < nb; b++ {
@@ -557,29 +548,36 @@ func (s *SearchStats) Add(o SearchStats) {
 }
 
 // granuleRef is one entry of the per-query bound queue: a granule's
-// bound for the query weights plus its address. idx is the superblock
-// index when super is true, the block index otherwise.
+// bound for the query weights plus its address, packed into one key as
+// layer<<33 | kind<<32 | idx, where kind is 1 for a superblock and idx is
+// the superblock or block index. Packing keeps an entry at 16 bytes and
+// the tie-break at one integer compare.
 type granuleRef struct {
 	bound float64
-	layer int32
-	idx   int32
-	super bool
+	key   uint64
 }
 
+func makeGranule(bound float64, layer, idx int, super bool) granuleRef {
+	key := uint64(layer)<<33 | uint64(idx)
+	if super {
+		key |= 1 << 32
+	}
+	return granuleRef{bound: bound, key: key}
+}
+
+func (g granuleRef) layer() int  { return int(g.key >> 33) }
+func (g granuleRef) idx() int    { return int(uint32(g.key)) }
+func (g granuleRef) super() bool { return g.key&(1<<32) != 0 }
+
 // granuleBefore orders the per-query bound queue: higher bound first,
-// then (layer, kind, idx) ascending — a total order, so the scan
-// sequence (and with it every stats counter) is deterministic.
+// then (layer, kind, idx) ascending with blocks before superblocks — a
+// total order, so the scan sequence (and with it every stats counter) is
+// deterministic.
 func granuleBefore(a, b granuleRef) bool {
 	if a.bound != b.bound {
 		return a.bound > b.bound
 	}
-	if a.layer != b.layer {
-		return a.layer < b.layer
-	}
-	if a.super != b.super {
-		return b.super
-	}
-	return a.idx < b.idx
+	return a.key < b.key
 }
 
 // Searcher runs top-k queries against an Index, reusing its heaps and
@@ -673,7 +671,9 @@ func (s *Searcher) Kth(w geom.Vector, k int) KthResult {
 	// worse — superblock maxima dominate their blocks' maxima, so a
 	// pruned superblock soundly prunes every block under it.
 	s.queue = s.queue[:0]
+	totalBlocks, scannedBlocks := 0, 0
 	for l, ly := range ix.layers {
+		totalBlocks += len(ly.blockMax)
 		ns := len(ly.superMax)
 		if ns == 0 {
 			continue
@@ -683,12 +683,7 @@ func (s *Searcher) Kth(w geom.Vector, k int) KthResult {
 		bounds := s.growBounds(ns)
 		ix.dotRows(ly.superFlat, ix.dim, w, bounds)
 		for sb, bd := range bounds {
-			s.queue = append(s.queue, granuleRef{
-				bound: bd,
-				layer: int32(l),
-				idx:   int32(sb),
-				super: true,
-			})
+			s.queue = append(s.queue, makeGranule(bd, l, sb, true))
 		}
 	}
 	for i := len(s.queue)/2 - 1; i >= 0; i-- {
@@ -697,19 +692,19 @@ func (s *Searcher) Kth(w geom.Vector, k int) KthResult {
 	for len(s.queue) > 0 {
 		best := s.queue[0]
 		if full && best.bound < s.hScore[0] {
-			s.Stats.LayerPrunes += s.prunedBlocks()
 			break
 		}
 		n := len(s.queue) - 1
 		s.queue[0] = s.queue[n]
 		s.queue = s.queue[:n]
 		granuleSiftDown(s.queue, 0)
-		ly := ix.layers[best.layer]
-		if !best.super {
-			full = s.scanBlock(ly, int(best.idx), w, k, full)
+		ly := ix.layers[best.layer()]
+		if !best.super() {
+			full = s.scanBlock(ly, best.idx(), w, k, full)
+			scannedBlocks++
 			continue
 		}
-		lo := int(best.idx) * (superRows / blockRows)
+		lo := best.idx() * (superRows / blockRows)
 		hi := lo + superRows/blockRows
 		if nb := len(ly.blockMax); hi > nb {
 			hi = nb
@@ -717,34 +712,19 @@ func (s *Searcher) Kth(w geom.Vector, k int) KthResult {
 		bb := s.bBounds[:hi-lo]
 		ix.dotRows(ly.blockFlat[lo*ix.dim:hi*ix.dim], ix.dim, w, bb)
 		for i, bd := range bb {
-			s.queuePush(granuleRef{
-				bound: bd,
-				layer: best.layer,
-				idx:   int32(lo + i),
-			})
+			// With the heap full, a block bound below the root can never
+			// be popped: the root only rises, so the stop fires before it.
+			// Leaving it out changes no pop and no counter.
+			if full && bd < s.hScore[0] {
+				continue
+			}
+			s.queuePush(makeGranule(bd, best.layer(), lo+i, false))
 		}
 	}
+	// Every block not scanned was pruned — left in the queue at the stop,
+	// under an unexpanded superblock, or never pushed.
+	s.Stats.LayerPrunes += int64(totalBlocks - scannedBlocks)
 	return KthResult{Index: s.hID[0], Score: s.hScore[0]}
-}
-
-// prunedBlocks counts the block granules the remaining queue covers —
-// one per queued block, a superblock's full block span otherwise.
-func (s *Searcher) prunedBlocks() int64 {
-	var n int64
-	for _, g := range s.queue {
-		if !g.super {
-			n++
-			continue
-		}
-		ly := s.ix.layers[g.layer]
-		lo := int(g.idx) * (superRows / blockRows)
-		hi := lo + superRows/blockRows
-		if nb := len(ly.blockMax); hi > nb {
-			hi = nb
-		}
-		n += int64(hi - lo)
-	}
-	return n
 }
 
 // queuePush appends a granule to the bound queue and sifts it up.

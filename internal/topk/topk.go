@@ -127,6 +127,8 @@ func partialSelect(idx []int, scores []float64, k int) {
 // attribute-sum order, so every dominator of a product precedes it; a
 // product belongs to the k-skyband iff fewer than k current skyband members
 // dominate it (a non-member dominator would imply >= k member dominators).
+// The members sit in a domFilter (peel.go), which counts a product's
+// member dominators up to k without checking every member.
 func Skyband(products []geom.Vector, k int) []int {
 	n := len(products)
 	order := make([]int, n)
@@ -146,27 +148,11 @@ func Skyband(products []geom.Vector, k int) []int {
 	if n > 0 {
 		d = len(products[0])
 	}
-	// Dominance requires q >= p - Eps componentwise, so any dominator of p
-	// has attribute sum >= p.Sum() - d*Eps. Band members are appended in
-	// descending-sum order, so the dominance scan can stop at the first
-	// member whose sum drops below that floor.
+	members := newDomFilter(d, n, func(i int) geom.Vector { return products[i] })
 	for _, i := range order {
-		p := products[i]
-		pFloor := sums[i] - float64(d)*geom.Eps
-		dominators := 0
-		for _, j := range band {
-			if sums[j] < pFloor {
-				break
-			}
-			if products[j].Dominates(p) {
-				dominators++
-				if dominators >= k {
-					break
-				}
-			}
-		}
-		if dominators < k {
+		if members.dominators(products[i], sums[i], k) < k {
 			band = append(band, i)
+			members.add(products[i], sums[i])
 		}
 	}
 	sort.Ints(band)

@@ -1,6 +1,8 @@
 package mir
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
@@ -174,6 +176,63 @@ func TestCostOptimalAPI(t *testing.T) {
 	}
 	if _, err := a.CostOptimal(0, L2()); err == nil {
 		t.Error("m=0 accepted")
+	}
+}
+
+// regionDigest is an FNV-64a digest of every cell constraint's bits, in
+// cell order.
+func regionDigest(r *Region) uint64 {
+	h := fnv.New64a()
+	for _, c := range r.Cells() {
+		for _, k := range c.Constraints() {
+			for _, w := range k.W {
+				fmt.Fprintf(h, "%x,", math.Float64bits(w))
+			}
+			fmt.Fprintf(h, "%x;", math.Float64bits(k.T))
+		}
+		fmt.Fprint(h, "|")
+	}
+	return h.Sum64()
+}
+
+// TestCostOptimalCoversMAtCellBoundary pins a placement on a cell
+// boundary: on this COR instance the cheapest cell's optimum sat 7.4e-8
+// below a user halfspace that covers the cell within geom.ClassifyTol, so
+// both solvers returned Coverage 29 < m = 30. The returned point must now
+// count every covering user within geom.Eps, and the region must stay the
+// one computed before the fix (the digest was recorded then).
+func TestCostOptimalCoversMAtCellBoundary(t *testing.T) {
+	const m = 30
+	ps := SynthProducts(Correlated, 5000, 3, 7635623233614391944)
+	us := SynthUsers(Clustered, 60, 3, 10, 4782301590431561351)
+	a, err := NewAnalyzer(ps, us, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, solver := range []struct {
+		name string
+		run  func(int, CostModel) (*Placement, error)
+	}{{"CostOptimal", a.CostOptimal}, {"CostOptimalFast", a.CostOptimalFast}} {
+		pl, err := solver.run(m, L2())
+		if err != nil {
+			t.Fatalf("%s: %v", solver.name, err)
+		}
+		if pl.Coverage < m || a.Coverage(pl.Point) < m {
+			t.Errorf("%s: point %v covers %d (recount %d) < m=%d",
+				solver.name, pl.Point, pl.Coverage, a.Coverage(pl.Point), m)
+		}
+		// The optimum moves by at most ClassifyTol-scale amounts.
+		if math.Abs(pl.Cost-1.6915032449371847) > 1e-6 {
+			t.Errorf("%s: cost %v, want about 1.69150324", solver.name, pl.Cost)
+		}
+		if pl.Region != nil {
+			if n, dg := pl.Region.NumCells(), regionDigest(pl.Region); n != 1638 || dg != 0xd9807ebd1e068570 {
+				t.Errorf("%s: region has %d cells, digest %#x; want 1638, 0xd9807ebd1e068570", solver.name, n, dg)
+			}
+			if !pl.Region.Contains(pl.Point) {
+				t.Errorf("%s: point %v outside its own region", solver.name, pl.Point)
+			}
+		}
 	}
 }
 
