@@ -50,18 +50,20 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkKernels' -benchtime 1x -benchmem ./internal/kern
 
 # Differential fuzzing of the numeric kernels against their verbatim
-# scalar references, and of the grid-filtered index peel and Skyband
-# against the historical plain scan (10s per fuzzer; the committed corpora
-# under testdata/fuzz seed the tricky float shapes — signed zeros, Inf,
-# NaN, subnormals — and every peel row style). `go test -fuzz` accepts
-# one fuzz target per invocation, so each fuzzer gets its own anchored
-# run.
+# scalar references, of the grid-filtered index peel and Skyband against
+# the historical plain scan, and of the candidate-filtered hull vertex
+# test against the historical all-pairs test (10s per fuzzer; the
+# committed corpora under testdata/fuzz seed the tricky float shapes —
+# signed zeros, Inf, NaN, subnormals — every peel row style, and
+# duplicate, flat and non-finite point sets). `go test -fuzz` accepts one
+# fuzz target per invocation, so each fuzzer gets its own anchored run.
 fuzz-smoke:
 	$(GO) test -fuzz '^FuzzKernelDotRows$$' -fuzztime 10s ./internal/kern
 	$(GO) test -fuzz '^FuzzKernelRowMaxMin$$' -fuzztime 10s ./internal/kern
 	$(GO) test -fuzz '^FuzzKernelEliminate$$' -fuzztime 10s ./internal/kern
 	$(GO) test -fuzz '^FuzzKernelPivotParity$$' -fuzztime 10s ./internal/lp
 	$(GO) test -run '^$$' -fuzz '^FuzzIndexPeel$$' -fuzztime 10s ./internal/topk
+	$(GO) test -run '^$$' -fuzz '^FuzzExtremePoints$$' -fuzztime 10s ./internal/geom
 
 # Unit tests of the end-to-end benchmark's measuring code (tail rule,
 # span self time, event matching). perfbench is its own Go module, so the

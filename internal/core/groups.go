@@ -67,7 +67,10 @@ type GroupStats struct {
 }
 
 // GroupStats computes grouping statistics for the instance, including the
-// average convex-hull vertex count per group (hulls in weight space).
+// average convex-hull vertex count per group (hulls in weight space), read
+// from the hulls NewInstance cached. For d = 2 a group's cached hull is
+// its {first, last} member, so a group of three or more coinciding
+// members counts two vertices where ExtremePoints would report one.
 func (inst *Instance) GroupStats() GroupStats {
 	s := GroupStats{NumGroups: len(inst.Groups)}
 	if s.NumGroups == 0 {
@@ -75,14 +78,8 @@ func (inst *Instance) GroupStats() GroupStats {
 	}
 	totalHull := 0
 	for _, g := range inst.Groups {
-		if len(g.Members) > s.MaxSize {
-			s.MaxSize = len(g.Members)
-		}
-		pts := make([]geom.Vector, len(g.Members))
-		for i, ui := range g.Members {
-			pts[i] = inst.WProj[ui]
-		}
-		totalHull += len(geom.ExtremePoints(pts))
+		s.MaxSize = max(s.MaxSize, len(g.Members))
+		totalHull += len(g.Hull)
 	}
 	s.AvgSize = float64(len(inst.Users)) / float64(s.NumGroups)
 	s.AvgHullSize = float64(totalHull) / float64(s.NumGroups)

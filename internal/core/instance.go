@@ -14,9 +14,11 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"mir/internal/geom"
@@ -182,10 +184,19 @@ func NewInstanceOpts(products []geom.Vector, users []topk.UserPref, opts Options
 		}
 	})
 	inst.Groups = buildGroups(inst)
-	// Precompute each group's weight-space hull (one LP per member for
-	// d > 2) so queries start with the Lemma 3/4 vertex sets ready instead
-	// of computing them lazily on the hot path.
-	par.For(len(inst.Groups), workers, func(i int) {
+	// Precompute each group's weight-space hull (small LPs for d > 3) so
+	// queries start with the Lemma 3/4 vertex sets ready instead of
+	// computing them lazily on the hot path. Hull cost grows faster than
+	// group size, so workers claim groups largest first: the biggest
+	// group starts at once rather than at the end of a fixed chunk.
+	order := make([]int, len(inst.Groups))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int {
+		return cmp.Compare(len(inst.Groups[b].Members), len(inst.Groups[a].Members))
+	})
+	par.ForOrder(order, workers, func(i int) {
 		g := inst.Groups[i]
 		g.Hull = hullPositionsOf(inst, g.Members)
 	})

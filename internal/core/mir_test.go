@@ -390,3 +390,27 @@ func TestAAFewerCellsThanBSL(t *testing.T) {
 		t.Errorf("AA cells %d >= BSL cells %d", aa.Stats.Cells, bsl.Stats.Cells)
 	}
 }
+
+// TestDuplicateUsersRegion: users entered twice share a weight vector, so
+// a group's hull vertex can occur twice in its member list. The vertex set
+// behind the Lemma 3/4 batch tests must still contain it (the all-pairs
+// hull test rejected both copies, each in the hull of the other, and AA
+// then certified whole groups from an incomplete vertex set).
+func TestDuplicateUsersRegion(t *testing.T) {
+	for seed := int64(1); seed <= 2; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ps := data.Independent(rng, 400, 4)
+		ws := data.ClusteredUsers(rng, 30, 4, 3, 0.08)
+		us := data.WithK(append(ws, ws...), 5)
+		inst, err := NewInstance(ps, us)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := len(us) / 2
+		reg, err := AA(inst, m, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkRegionOracle(t, inst, m, reg, rng, 4000)
+	}
+}

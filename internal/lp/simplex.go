@@ -260,6 +260,23 @@ func (w *Workspace) maximizeZero(n int, row func(int) []float64, b []float64) Re
 	return w.solve(c, row, b)
 }
 
+// Reserve grows the workspace's buffers to hold any program of up to
+// rows constraints and cols structural variables, so a caller about to
+// solve a run of programs that grow column by column allocates once
+// instead of once per size. It changes no solve.
+func (w *Workspace) Reserve(rows, cols int) {
+	nCols := cols + 2*rows + 1 // structural, slack, artificial, rhs
+	if need := rows * nCols; cap(w.tab) < need {
+		w.tab = make([]float64, 0, need)
+	}
+	if cap(w.basis) < rows {
+		w.basis = make([]int, 0, rows)
+	}
+	w.grow(&w.z, nCols)
+	w.grow(&w.x, cols)
+	w.grow(&w.zeroC, cols)
+}
+
 // grow resizes *buf to length want, reusing capacity.
 func (w *Workspace) grow(buf *[]float64, want int) []float64 {
 	if cap(*buf) < want {

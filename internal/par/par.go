@@ -1,7 +1,8 @@
 // Package par provides the worker-pool primitives behind the engine's
 // multi-core execution layer: a Workers-option resolver shared by every
-// layer of the stack, and a chunked index fan-out with deterministic
-// assignment. The all-top-k preprocessing (internal/topk), instance
+// layer of the stack, a chunked index fan-out with deterministic
+// assignment, and an ordered fan-out with dynamic claiming for tasks of
+// uneven cost (ForOrder). The all-top-k preprocessing (internal/topk), instance
 // construction, and AA's per-cell batch classification (internal/core)
 // all fan their embarrassingly parallel loops through this package.
 //
@@ -10,12 +11,15 @@
 // into index-addressed slots. Output is therefore identical for every
 // worker count; only wall-clock time changes. Per-worker accumulators
 // (e.g. test counters) are merged by summation, which is
-// order-independent, so merged counters are deterministic too.
+// order-independent, so merged counters are deterministic too. ForOrder
+// assigns tasks to workers by timing, so it suits only tasks whose
+// results go to index-addressed slots and depend on nothing else.
 package par
 
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Resolve maps an Options-style Workers value to a concrete parallelism
@@ -66,6 +70,40 @@ func ForWorker(n, workers int, fn func(worker, i int)) {
 				fn(k, i)
 			}
 		}(k)
+	}
+	wg.Wait()
+}
+
+// ForOrder runs fn(i) for every i in order across Resolve(workers)
+// workers, claiming the entries one at a time in the given order through
+// a shared cursor, and blocks until every call has returned. Unlike
+// For's fixed chunks, the claiming adapts to uneven task costs: with the
+// costliest tasks first, no worker is left holding a large task while the
+// others idle. Which worker runs which task is timing-dependent, so
+// callers must write results to index-addressed slots. With a single
+// worker the loop runs inline in order.
+func ForOrder(order []int, workers int, fn func(i int)) {
+	w := min(Resolve(workers), len(order))
+	if w <= 1 {
+		for _, i := range order {
+			fn(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(w)
+	for k := 0; k < w; k++ {
+		go func() {
+			defer wg.Done()
+			for {
+				c := int(next.Add(1)) - 1
+				if c >= len(order) {
+					return
+				}
+				fn(order[c])
+			}
+		}()
 	}
 	wg.Wait()
 }

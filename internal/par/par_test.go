@@ -2,6 +2,7 @@ package par
 
 import (
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 )
@@ -79,4 +80,27 @@ func TestForWorkerSingleWorkerRunsInline(t *testing.T) {
 	if prev != 9 {
 		t.Fatalf("visited %d indices, want 10", prev+1)
 	}
+}
+
+func TestForOrderCoversEveryIndexOnce(t *testing.T) {
+	order := []int{7, 3, 9, 0, 1, 2, 4, 5, 6, 8}
+	for _, workers := range []int{1, 2, 3, 16} {
+		var hits [10]atomic.Int32
+		var seq []int
+		ForOrder(order, workers, func(i int) {
+			hits[i].Add(1)
+			if workers == 1 {
+				seq = append(seq, i)
+			}
+		})
+		for i := range hits {
+			if n := hits[i].Load(); n != 1 {
+				t.Fatalf("workers=%d: index %d ran %d times", workers, i, n)
+			}
+		}
+		if workers == 1 && !slices.Equal(seq, order) {
+			t.Fatalf("single worker ran %v, want %v", seq, order)
+		}
+	}
+	ForOrder(nil, 4, func(int) { t.Fatal("empty order ran a task") })
 }

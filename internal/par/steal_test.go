@@ -159,18 +159,25 @@ func TestFrontierStealHalfPreservesHeap(t *testing.T) {
 
 // TestFrontierStealStarvedWorkers seeds only worker 0's queue (via a
 // single seed) with a task that fans out; with many workers the only way
-// the others get work is stealing.
+// the others get work is stealing. The children wait until the seed has
+// pushed them all, so the frontier reaches its full width whatever the
+// timing (a stolen child finishing early would otherwise lower the
+// high-water mark).
 func TestFrontierStealStarvedWorkers(t *testing.T) {
 	workers := 4
 	var executed atomic.Int64
 	const fanout = 64
+	pushed := make(chan struct{})
 	st := RunFrontier(workers, []int{0}, []float64{0}, func(fw *FrontierWorker[int], v int) {
 		executed.Add(1)
 		if v == 0 {
 			for i := 1; i <= fanout; i++ {
 				fw.Push(i, float64(i))
 			}
+			close(pushed)
+			return
 		}
+		<-pushed
 	})
 	if got := executed.Load(); got != fanout+1 {
 		t.Fatalf("executed %d tasks, want %d", got, fanout+1)
